@@ -49,6 +49,16 @@ type Enumerable interface {
 	FitConfigs() []bitstring.String
 }
 
+// unitGraded is a Graded constraint whose Violations moves by at most one
+// when one bit flips. A flip lowers the count exactly when it fixes a
+// violated bit, so greedy repair asks fixes instead of re-counting
+// Violations for every candidate bit.
+type unitGraded interface {
+	Graded
+	// fixes reports whether flipping bit i of s lowers Violations(s).
+	fixes(s bitstring.String, i int) bool
+}
+
 // AllOnes is the spacecraft constraint of §4.2: C = 1ⁿ — "every component
 // of the spacecraft is good".
 type AllOnes struct {
@@ -56,7 +66,7 @@ type AllOnes struct {
 }
 
 var (
-	_ Graded     = AllOnes{}
+	_ unitGraded = AllOnes{}
 	_ Enumerable = AllOnes{}
 )
 
@@ -78,6 +88,12 @@ func (c AllOnes) Violations(s bitstring.String) int {
 
 // MaxViolations returns N.
 func (c AllOnes) MaxViolations() int { return c.N }
+
+// fixes reports whether bit i is a failed component. A wrong-length s
+// scores N whatever its bits, so no flip fixes it.
+func (c AllOnes) fixes(s bitstring.String, i int) bool {
+	return s.Len() == c.N && !s.Get(i)
+}
 
 // FitConfigs returns the single configuration 1ⁿ.
 func (c AllOnes) FitConfigs() []bitstring.String {
@@ -122,7 +138,7 @@ type Mask struct {
 	Care     bitstring.String
 }
 
-var _ Graded = Mask{}
+var _ unitGraded = Mask{}
 
 // NewMask builds a Mask constraint; template and care must have equal
 // length.
@@ -149,6 +165,17 @@ func (c Mask) Violations(s bitstring.String) int {
 		return c.MaxViolations()
 	}
 	return d
+}
+
+// fixes reports whether bit i is cared and differs from the template.
+// When the lengths of s, Template and Care disagree, Violations is
+// MaxViolations whatever the bits, so no flip fixes it.
+func (c Mask) fixes(s bitstring.String, i int) bool {
+	n := s.Len()
+	if n != c.Template.Len() || n != c.Care.Len() {
+		return false
+	}
+	return c.Care.Get(i) && s.Get(i) != c.Template.Get(i)
 }
 
 // MaxViolations returns the number of cared bits.

@@ -53,15 +53,29 @@ func (g GreedyRepairer) PlanFlips(s bitstring.String, c Constraint, budget int, 
 			plan = append(plan, i)
 			continue
 		}
-		best, bestV := -1, cur
+		best := -1
 		// Evaluate each single-bit flip; ties broken by random scan
 		// order so repeated runs do not share deterministic ruts.
-		for _, i := range r.Perm(work.Len()) {
-			work.Flip(i)
-			v := graded.Violations(work)
-			work.Flip(i)
-			if v < bestV {
-				best, bestV = i, v
+		perm := r.Perm(work.Len())
+		if unit, ok := c.(unitGraded); ok {
+			// The probe loop below keeps the first flip in perm order
+			// that lowers the count; for a unit constraint that is the
+			// first violated bit, since nothing can lower it by more.
+			for _, i := range perm {
+				if unit.fixes(work, i) {
+					best = i
+					break
+				}
+			}
+		} else {
+			bestV := cur
+			for _, i := range perm {
+				work.Flip(i)
+				v := graded.Violations(work)
+				work.Flip(i)
+				if v < bestV {
+					best, bestV = i, v
+				}
 			}
 		}
 		if best < 0 {

@@ -36,28 +36,39 @@ type Community struct {
 // −selfReg (each species damps itself); each off-diagonal entry is
 // nonzero with probability connectance, drawn from Norm(0, sigma).
 func RandomCommunity(n int, connectance, sigma, selfReg float64, r *rng.Source) (*Community, error) {
+	c := new(Community)
+	if err := c.randomize(n, connectance, sigma, selfReg, r); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// randomize redraws c as RandomCommunity would, reusing c.M's storage.
+func (c *Community) randomize(n int, connectance, sigma, selfReg float64, r *rng.Source) error {
 	if n < 1 {
-		return nil, fmt.Errorf("dynamics: community needs n >= 1, got %d", n)
+		return fmt.Errorf("dynamics: community needs n >= 1, got %d", n)
 	}
 	if connectance < 0 || connectance > 1 {
-		return nil, fmt.Errorf("dynamics: connectance %v out of [0,1]", connectance)
+		return fmt.Errorf("dynamics: connectance %v out of [0,1]", connectance)
 	}
 	if sigma < 0 || selfReg <= 0 {
-		return nil, errors.New("dynamics: sigma must be >= 0 and selfReg > 0")
+		return errors.New("dynamics: sigma must be >= 0 and selfReg > 0")
 	}
-	c := &Community{N: n, M: make([]float64, n*n)}
+	c.N = n
+	c.M = resize(c.M, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i == j {
+			switch {
+			case i == j:
 				c.M[i*n+j] = -selfReg
-				continue
-			}
-			if r.Bool(connectance) {
+			case r.Bool(connectance):
 				c.M[i*n+j] = r.Norm(0, sigma)
+			default:
+				c.M[i*n+j] = 0
 			}
 		}
 	}
-	return c, nil
+	return nil
 }
 
 // MayThreshold returns σ·sqrt(n·c) — May's complexity measure. The
@@ -74,11 +85,66 @@ func MayThreshold(n int, connectance, sigma float64) float64 {
 // spectral abscissa; transient (non-normal) growth is averaged out by the
 // long horizon.
 func (c *Community) Stable(horizon, dt float64, r *rng.Source) (bool, error) {
+	return c.stable(horizon, dt, r, new(stableScratch))
+}
+
+// stableScratch is the storage one stability test needs; a sweep of
+// trials reuses it.
+type stableScratch struct {
+	// rowStart, cols and vals hold M in compressed-sparse-row form: row
+	// i's nonzero entries are vals[rowStart[i]:rowStart[i+1]], at
+	// columns cols[...] in increasing order.
+	rowStart []int
+	cols     []int
+	vals     []float64
+	x, next  []float64
+}
+
+// load fills the sparse rows from the dense Jacobian.
+func (s *stableScratch) load(c *Community) {
+	n := c.N
+	s.rowStart = resize(s.rowStart, n+1)
+	s.cols, s.vals = s.cols[:0], s.vals[:0]
+	for i := 0; i < n; i++ {
+		s.rowStart[i] = len(s.vals)
+		for j, m := range c.M[i*n : (i+1)*n] {
+			if m != 0 {
+				s.cols = append(s.cols, j)
+				s.vals = append(s.vals, m)
+			}
+		}
+	}
+	s.rowStart[n] = len(s.vals)
+}
+
+// euler writes one Euler step of x' = Mx into next: next = x + dt·Mx.
+//
+// It multiplies over each row's nonzero entries only, in column order.
+// That leaves every partial sum bit-identical to the dense product: acc
+// starts at +0, and a sum that starts at +0 is never -0, so adding
+// m·x[j] = ±0 for an exact zero m leaves it unchanged. This needs x
+// finite, which the renormalization in stable every 100 steps keeps it
+// unless dt·|M| is large enough to overflow within 100 steps.
+func (s *stableScratch) euler(next, x []float64, dt float64) {
+	for i := range next {
+		var acc float64
+		lo, hi := s.rowStart[i], s.rowStart[i+1]
+		vals, cols := s.vals[lo:hi], s.cols[lo:hi]
+		for k, m := range vals {
+			acc += m * x[cols[k]]
+		}
+		next[i] = x[i] + dt*acc
+	}
+}
+
+// stable is Stable with caller-owned scratch.
+func (c *Community) stable(horizon, dt float64, r *rng.Source, s *stableScratch) (bool, error) {
 	if horizon <= 0 || dt <= 0 || dt >= horizon {
 		return false, fmt.Errorf("dynamics: invalid horizon %v / dt %v", horizon, dt)
 	}
 	n := c.N
-	x := make([]float64, n)
+	s.x, s.next = resize(s.x, n), resize(s.next, n)
+	x, next := s.x, s.next
 	for i := range x {
 		x[i] = r.Norm(0, 1)
 	}
@@ -86,23 +152,16 @@ func (c *Community) Stable(horizon, dt float64, r *rng.Source) (bool, error) {
 	if norm0 == 0 {
 		return false, errors.New("dynamics: degenerate perturbation")
 	}
-	next := make([]float64, n)
+	s.load(c)
 	steps := int(horizon / dt)
 	// logGrowth accumulates periodic renormalization factors so the
 	// state never overflows or underflows; only the total growth rate
 	// matters for the stability verdict.
 	var logGrowth float64
-	for s := 0; s < steps; s++ {
-		for i := 0; i < n; i++ {
-			var acc float64
-			row := c.M[i*n : (i+1)*n]
-			for j, m := range row {
-				acc += m * x[j]
-			}
-			next[i] = x[i] + dt*acc
-		}
+	for step := 0; step < steps; step++ {
+		s.euler(next, x, dt)
 		x, next = next, x
-		if s%100 == 99 {
+		if step%100 == 99 {
 			nrm := norm2(x)
 			if nrm == 0 {
 				return true, nil // fully decayed
@@ -124,13 +183,14 @@ func StabilityProbability(n int, connectance, sigma, selfReg float64, trials int
 	if trials < 1 {
 		return 0, errors.New("dynamics: trials must be >= 1")
 	}
+	var c Community
+	var scratch stableScratch
 	stable := 0
 	for t := 0; t < trials; t++ {
-		c, err := RandomCommunity(n, connectance, sigma, selfReg, r)
-		if err != nil {
+		if err := c.randomize(n, connectance, sigma, selfReg, r); err != nil {
 			return 0, err
 		}
-		ok, err := c.Stable(horizon, dt, r)
+		ok, err := c.stable(horizon, dt, r, &scratch)
 		if err != nil {
 			return 0, err
 		}
@@ -139,6 +199,15 @@ func StabilityProbability(n int, connectance, sigma, selfReg float64, trials int
 		}
 	}
 	return float64(stable) / float64(trials), nil
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func norm2(x []float64) float64 {

@@ -111,22 +111,54 @@ var ErrShortSeries = errors.New("dynamics: series too short for early-warning an
 // whose Kendall trends are returned. Detrending is done per-window by
 // removing the window mean.
 func EarlyWarning(series []float64, window int) (Signals, error) {
-	if window < 4 || len(series) < 2*window {
-		return Signals{}, ErrShortSeries
-	}
-	ar1 := stats.RollingApply(series, window, func(w []float64) float64 {
-		ac, err := stats.Autocorrelation(w, 1)
-		if err != nil {
-			return 0
-		}
-		return ac
-	})
-	variance := stats.RollingApply(series, window, stats.Variance)
-	at, err := stats.KendallTau(ar1)
+	ar1, variance, err := rollingSignals(series, window)
 	if err != nil {
 		return Signals{}, err
 	}
-	vt, err := stats.KendallTau(variance)
+	return trends(ar1, variance, new(stats.Kendall))
+}
+
+// rollingSignals returns, for every complete window of series, the lag-1
+// autocorrelation and the variance in one pass per window. Both are
+// bit-identical to stats.Autocorrelation(w, 1) and stats.Variance(w): each
+// window's mean is stats.Mean, each accumulator adds the same terms in
+// the same order, and Variance's sum of squares is Autocorrelation's
+// denominator.
+func rollingSignals(series []float64, window int) (ar1, variance []float64, err error) {
+	if window < 4 || len(series) < 2*window {
+		return nil, nil, ErrShortSeries
+	}
+	k := len(series) - window + 1
+	ar1 = make([]float64, k)
+	variance = make([]float64, k)
+	for s := range ar1 {
+		w := series[s : s+window]
+		m := stats.Mean(w)
+		var num, den, prev float64
+		for i, x := range w {
+			d := x - m
+			den += d * d
+			if i > 0 {
+				num += prev * d
+			}
+			prev = d
+		}
+		if den != 0 {
+			ar1[s] = num / den
+		}
+		variance[s] = den / float64(window)
+	}
+	return ar1, variance, nil
+}
+
+// trends takes the Kendall trends of the rolling series, reusing k's
+// scratch.
+func trends(ar1, variance []float64, k *stats.Kendall) (Signals, error) {
+	at, err := k.Tau(ar1)
+	if err != nil {
+		return Signals{}, err
+	}
+	vt, err := k.Tau(variance)
 	if err != nil {
 		return Signals{}, err
 	}
@@ -150,27 +182,31 @@ type DetectionResult struct {
 // scans growing prefixes of the pre-tip series and fires when both trend
 // statistics exceed tauThreshold. A negative TipIndex (no tip) yields
 // Alarmed=false with the full-series signals.
+//
+// The rolling windows of a prefix pre[:n] are the first n-window+1
+// windows of pre, so one rolling pass over pre serves every prefix.
 func DetectBeforeTip(res RampResult, window int, tauThreshold float64) (DetectionResult, error) {
 	end := res.TipIndex
 	if end < 0 {
 		end = len(res.X)
 	}
 	pre := res.X[:end]
-	out := DetectionResult{AlarmIndex: -1, LeadTime: -1}
-	full, err := EarlyWarning(pre, window)
+	ar1, variance, err := rollingSignals(pre, window)
 	if err != nil {
 		return DetectionResult{}, err
 	}
-	out.Signals = full
+	var k stats.Kendall
+	full, err := trends(ar1, variance, &k)
+	if err != nil {
+		return DetectionResult{}, err
+	}
+	out := DetectionResult{AlarmIndex: -1, LeadTime: -1, Signals: full}
 	// Scan prefixes at a coarse stride to find the first alarm point.
 	stride := window / 2
-	if stride < 1 {
-		stride = 1
-	}
 	for n := 2 * window; n <= len(pre); n += stride {
-		sig, err := EarlyWarning(pre[:n], window)
+		sig, err := trends(ar1[:n-window+1], variance[:n-window+1], &k)
 		if err != nil {
-			continue
+			return DetectionResult{}, err
 		}
 		if sig.AR1Trend >= tauThreshold && sig.VarianceTrend >= tauThreshold {
 			out.Alarmed = true

@@ -16,8 +16,10 @@
 package magent
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"resilience/internal/bitstring"
 	"resilience/internal/dcsp"
@@ -123,6 +125,14 @@ type World struct {
 	agents []*Agent
 	r      *rng.Source
 	time   int
+
+	// Per-step scratch, reused so a step allocates nothing for
+	// bookkeeping: lineage resource sums and head counts (indexed by
+	// Lineage), and the genotype keys and their population counts.
+	lineageSum   []float64
+	lineageCount []int
+	keys         []uint64
+	pops         []float64
 }
 
 // NewWorld creates a world with founders drawn from FounderGenotypes
@@ -141,7 +151,10 @@ func NewWorld(cfg Config, env dcsp.Constraint, r *rng.Source) (*World, error) {
 	for i := range founders {
 		founders[i] = bitstring.Random(cfg.GenomeLen, r)
 	}
-	w := &World{cfg: cfg, env: env, r: r}
+	w := &World{cfg: cfg, env: env, r: r,
+		lineageSum:   make([]float64, cfg.FounderGenotypes),
+		lineageCount: make([]int, cfg.FounderGenotypes),
+	}
 	w.agents = make([]*Agent, cfg.InitialAgents)
 	for i := range w.agents {
 		w.agents[i] = &Agent{
@@ -235,9 +248,11 @@ func (w *World) Step() StepStats {
 // AidShare of the way toward its lineage's mean. The transfer is
 // conservative (lineage totals are unchanged) and models the emergency
 // norm of §3.4.6 where members subsidize each other through the shock.
+// Each lineage's sum adds its members' resources in agent order.
 func (w *World) shareWithinLineages() {
-	sums := map[int]float64{}
-	counts := map[int]int{}
+	sums, counts := w.lineageSum, w.lineageCount
+	clear(sums)
+	clear(counts)
 	for _, a := range w.agents {
 		sums[a.Lineage] += a.Resource
 		counts[a.Lineage]++
@@ -278,31 +293,44 @@ func (w *World) DiversitySnapshot() (float64, int) {
 	if len(w.agents) == 0 {
 		return 0, 0
 	}
-	// Single-word genomes tally by integer value; the textual Key would
-	// allocate one string per agent per step, which the profiler shows as
-	// a quarter of the whole suite's allocations. The index itself is
-	// unaffected: IndexG sums exact integer-valued floats, so the map's
-	// iteration order cannot perturb the result.
-	var pops []float64
-	var genotypes int
+	// Genotypes are tallied by sorting their keys and counting equal runs.
+	// Single-word genomes key by integer value into a reused buffer; the
+	// textual Key would allocate one string per agent per step. The order
+	// of the counts cannot perturb the index: IndexG sums exact
+	// integer-valued floats.
 	if w.cfg.GenomeLen <= 64 {
-		counts := make(map[uint64]int, len(w.agents))
+		w.keys = w.keys[:0]
 		for _, a := range w.agents {
-			counts[a.Genome.Uint64()]++
+			w.keys = append(w.keys, a.Genome.Uint64())
 		}
-		pops, genotypes = diversity.CountsToPops(counts), len(counts)
+		w.pops = runLengths(w.pops[:0], w.keys)
 	} else {
-		counts := make(map[string]int, len(w.agents))
-		for _, a := range w.agents {
-			counts[a.Genome.Key()]++
+		keys := make([]string, len(w.agents))
+		for i, a := range w.agents {
+			keys[i] = a.Genome.Key()
 		}
-		pops, genotypes = diversity.CountsToPops(counts), len(counts)
+		w.pops = runLengths(w.pops[:0], keys)
 	}
-	g, err := diversity.IndexG(pops)
+	g, err := diversity.IndexG(w.pops)
 	if err != nil {
-		return 0, genotypes
+		return 0, len(w.pops)
 	}
-	return g, genotypes
+	return g, len(w.pops)
+}
+
+// runLengths sorts keys and appends the length of each run of equal keys
+// to pops.
+func runLengths[K cmp.Ordered](pops []float64, keys []K) []float64 {
+	slices.Sort(keys)
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j] == keys[i] {
+			j++
+		}
+		pops = append(pops, float64(j-i))
+		i = j
+	}
+	return pops
 }
 
 // FitFraction returns the share of living agents that satisfy the

@@ -8,6 +8,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -69,26 +70,113 @@ func Max(xs []float64) float64 {
 // Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation on
 // the sorted sample. It copies its input. Empty input returns NaN.
 func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
+	return QuantileInPlace(append([]float64(nil), xs...), q)
+}
+
+// QuantileInPlace is Quantile without the copy: it reorders xs, so the
+// caller must own xs and be done with its order.
+//
+// It selects the one or two order statistics the interpolation reads
+// instead of sorting, in expected linear time. Without NaN or -0 in xs,
+// values that compare equal have identical bits, so the selected values
+// are the bits a full sort would leave at those positions. Input holding
+// NaN or -0 keeps the sort path: there the sort's placement of NaN, and
+// of -0 beside +0, decides the result.
+func QuantileInPlace(xs []float64, q float64) float64 {
+	n := len(xs)
+	if n == 0 {
 		return math.NaN()
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
+	pos := float64(n - 1)
 	if q <= 0 {
-		return sorted[0]
+		pos = 0
+	} else if q < 1 {
+		pos = q * float64(n-1)
 	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
+	var a, b float64
+	if sortOnly(xs) {
+		sort.Float64s(xs)
+		a, b = xs[lo], xs[hi]
+	} else {
+		selectKth(xs, lo)
+		a, b = xs[lo], xs[lo]
+		if hi > lo {
+			// Everything after lo is >= xs[lo], so the next order
+			// statistic is the smallest of the rest.
+			b = Min(xs[lo+1:])
+		}
+	}
 	if lo == hi {
-		return sorted[lo]
+		return a
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return a*(1-frac) + b*frac
+}
+
+// sortOnly reports whether xs holds a NaN or a -0, the values for which
+// selection and sort.Float64s may leave different bits at a position.
+func sortOnly(xs []float64) bool {
+	for _, x := range xs {
+		if x != x || (x == 0 && math.Signbit(x)) {
+			return true
+		}
+	}
+	return false
+}
+
+// selectKth reorders xs, which holds no NaN, so that xs[k] is the k-th
+// smallest value, no value before k is larger and no value after k is
+// smaller. It is quickselect with a median-of-three pivot and a
+// three-way partition, so runs of equal values end a round early. An
+// input that defeats the pivot rule falls back to sorting the remaining
+// range after 2·log2(n) rounds.
+func selectKth(xs []float64, k int) {
+	lo, hi := 0, len(xs)
+	for budget := 2 * bits.Len(uint(len(xs))); hi-lo > 1; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[lo:hi])
+			return
+		}
+		p := medianOf3(xs[lo], xs[lo+(hi-lo)/2], xs[hi-1])
+		// Partition xs[lo:hi] into [lo,lt) < p, [lt,gt) == p, [gt,hi) > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := xs[i]; {
+			case x < p:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case x > p:
+				gt--
+				xs[i], xs[gt] = xs[gt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+}
+
+func medianOf3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // Summary bundles the usual descriptive statistics of a sample.
@@ -142,41 +230,107 @@ func Autocorrelation(xs []float64, lag int) (float64, error) {
 	return num / den, nil
 }
 
-// RollingApply slides a window of the given size over xs and applies f to
-// each window, returning one value per complete window.
-func RollingApply(xs []float64, window int, f func([]float64) float64) []float64 {
-	if window <= 0 || len(xs) < window {
-		return nil
-	}
-	out := make([]float64, 0, len(xs)-window+1)
-	for i := 0; i+window <= len(xs); i++ {
-		out = append(out, f(xs[i:i+window]))
-	}
-	return out
-}
-
 // KendallTau returns Kendall's rank correlation between xs and the index
 // sequence 0..n-1, i.e. a nonparametric trend statistic in [-1, 1].
 // Positive values indicate an increasing trend. Scheffer et al. use this to
 // quantify rising variance/autocorrelation before a transition.
 func KendallTau(xs []float64) (float64, error) {
+	var k Kendall
+	return k.Tau(xs)
+}
+
+// Kendall computes KendallTau with merge buffers it keeps between calls,
+// so a scan that takes many trends allocates once. The zero value is
+// ready to use; a Kendall is not safe for concurrent use.
+type Kendall struct {
+	buf []float64
+}
+
+// Tau returns KendallTau(xs) in O(n log n).
+//
+// Over pairs i < j, a pair is discordant when xs[i] > xs[j], concordant
+// when xs[i] < xs[j], and neither when the values are equal or either is
+// NaN. A merge sort of the non-NaN values counts the discordant pairs as
+// its strict inversions; the equal-value runs of the sorted result give
+// the ties; the concordant pairs are the rest. These are the integers a
+// comparison of every pair counts, so τ is bit-identical to the
+// quadratic definition.
+func (k *Kendall) Tau(xs []float64) (float64, error) {
 	n := len(xs)
 	if n < 2 {
 		return 0, ErrInsufficientData
 	}
-	var concordant, discordant int
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			switch {
-			case xs[j] > xs[i]:
-				concordant++
-			case xs[j] < xs[i]:
-				discordant++
-			}
+	if cap(k.buf) < 2*n {
+		k.buf = make([]float64, 2*n)
+	}
+	vals, tmp := k.buf[:0], k.buf[n:2*n]
+	for _, x := range xs {
+		if x == x {
+			vals = append(vals, x)
 		}
 	}
+	discordant := sortCountInversions(vals, tmp)
+	ties, run := 0, 1
+	for i := 1; i <= len(vals); i++ {
+		if i < len(vals) && vals[i] == vals[i-1] {
+			run++
+			continue
+		}
+		ties += run * (run - 1) / 2
+		run = 1
+	}
+	m := len(vals)
+	concordant := m*(m-1)/2 - ties - discordant
 	pairs := n * (n - 1) / 2
 	return float64(concordant-discordant) / float64(pairs), nil
+}
+
+// sortCountInversions sorts a ascending, using tmp (at least as long as
+// a) as scratch, and returns the number of pairs i < j with a[i] > a[j].
+// Insertion sort over short runs counts each run's inversions as its
+// shifts; each bottom-up merge then counts, whenever it takes a strictly
+// smaller value from the right half, the values still waiting on the left.
+func sortCountInversions(a, tmp []float64) int {
+	const run = 16
+	n := len(a)
+	inv := 0
+	for lo := 0; lo < n; lo += run {
+		hi := min(lo+run, n)
+		for i := lo + 1; i < hi; i++ {
+			x, j := a[i], i
+			for j > lo && a[j-1] > x {
+				a[j] = a[j-1]
+				j--
+			}
+			inv += i - j
+			a[j] = x
+		}
+	}
+	src, dst := a, tmp[:n]
+	for width := run; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			i, j, k := lo, mid, lo
+			for i < mid && j < hi {
+				if src[j] < src[i] {
+					dst[k] = src[j]
+					j++
+					inv += mid - i
+				} else {
+					dst[k] = src[i]
+					i++
+				}
+				k++
+			}
+			k += copy(dst[k:], src[i:mid])
+			copy(dst[k:], src[j:hi])
+		}
+		src, dst = dst, src
+	}
+	if n > 0 && &src[0] != &a[0] {
+		copy(a, src)
+	}
+	return inv
 }
 
 // LinearFit holds the result of an ordinary-least-squares line fit.

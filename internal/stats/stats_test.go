@@ -145,26 +145,6 @@ func TestAutocorrelationErrors(t *testing.T) {
 	}
 }
 
-func TestRollingApply(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	got := RollingApply(xs, 2, Mean)
-	want := []float64{1.5, 2.5, 3.5}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if RollingApply(xs, 5, Mean) != nil {
-		t.Error("window larger than data should return nil")
-	}
-	if RollingApply(xs, 0, Mean) != nil {
-		t.Error("zero window should return nil")
-	}
-}
-
 func TestKendallTau(t *testing.T) {
 	inc := []float64{1, 2, 3, 4, 5}
 	tau, err := KendallTau(inc)
